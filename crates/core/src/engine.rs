@@ -1073,8 +1073,23 @@ pub struct SignalLevelEngine {
 }
 
 impl SignalLevelEngine {
-    /// The scenario's Fig. 4 bench (jump program included).
+    /// The scenario's Fig. 4 bench (jump program included). A jump program
+    /// needs a finite, positive toggle interval and a finite, non-negative
+    /// path latency; anything else is [`CilError::InvalidConfig`].
     pub fn from_scenario(s: &MdeScenario) -> Result<Self> {
+        let jumps = &s.jumps;
+        if !(jumps.interval_s.is_finite() && jumps.interval_s > 0.0) {
+            return Err(CilError::InvalidConfig(format!(
+                "jump interval must be finite and positive, got {} s",
+                jumps.interval_s
+            )));
+        }
+        if !(jumps.path_latency_s.is_finite() && jumps.path_latency_s >= 0.0) {
+            return Err(CilError::InvalidConfig(format!(
+                "jump path latency must be finite and non-negative, got {} s",
+                jumps.path_latency_s
+            )));
+        }
         let sample_rate = 250e6;
         let bench = SignalBench::new(
             sample_rate,

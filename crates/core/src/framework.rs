@@ -157,6 +157,13 @@ pub struct SimulatorFramework {
     last_dt: Vec<f64>,
     /// Monitoring value written by the kernel, if any.
     monitor_value: f64,
+    /// `measured_period()`, refreshed when the period detector completes a
+    /// period and on restore (the average moves at no other time).
+    measured_period: Option<f64>,
+    /// The PhaseDifference monitor output (quantised `last_dt[0]` ×
+    /// `monitor_scale`), refreshed when the kernel writes Δt (warm-up and
+    /// each iteration), on `write_param` and on restore.
+    monitor_dt_volts: f64,
     /// Initialisation done (first kernel run used as pipeline warm-up).
     warmed_up: bool,
     /// DRAM recording.
@@ -197,7 +204,7 @@ impl SimulatorFramework {
                 ),
             })
             .collect();
-        Self {
+        let mut fw = Self {
             ref_buffer: CaptureRingBuffer::new(config.buffer_depth),
             gap_buffer: CaptureRingBuffer::new(config.buffer_depth),
             period: PeriodLengthDetector::new(config.period_avg, config.zc_threshold),
@@ -207,6 +214,8 @@ impl SimulatorFramework {
             prev_crossing_sample: None,
             last_dt: vec![0.0; config.bunches],
             monitor_value: 0.0,
+            measured_period: None,
+            monitor_dt_volts: 0.0,
             warmed_up: false,
             records: Vec::new(),
             recording: true,
@@ -216,7 +225,16 @@ impl SimulatorFramework {
             compiled,
             executor,
             config,
-        }
+        };
+        fw.refresh_monitor();
+        fw
+    }
+
+    /// Recompute the cached PhaseDifference monitor output.
+    fn refresh_monitor(&mut self) {
+        self.monitor_dt_volts = self.config.dac.quantize_volts(
+            self.last_dt.first().copied().unwrap_or(0.0) * self.config.monitor_scale,
+        );
     }
 
     /// Parameter-interface write (the SpartanMC register map).
@@ -239,6 +257,7 @@ impl SimulatorFramework {
             params::REG_RECORD_ENABLE => self.recording = value != 0.0,
             _ => {} // unknown registers ignore writes, like real MMIO
         }
+        self.refresh_monitor();
     }
 
     /// Set (or clear) the ADC fault applied to both channel codes — the
@@ -273,8 +292,11 @@ impl SimulatorFramework {
         self.gap_buffer.push(gap_q);
 
         // Reference-side detectors.
-        let crossed = self.period.push(ref_q).is_some();
-        if crossed && self.period.warmed_up() {
+        let completed = self.period.push(ref_q);
+        if let Some(avg) = completed {
+            self.measured_period = Some(avg / self.config.sample_rate);
+        }
+        if completed.is_some() && self.period.warmed_up() {
             // Integer sample index of the crossing (hardware addressing).
             // Rounding — not flooring — the refined crossing time keeps the
             // addressing bias zero-mean; a systematic half-sample offset
@@ -298,10 +320,7 @@ impl SimulatorFramework {
         }
         let beam = self.config.dac.quantize_volts(beam);
         let monitor = match self.config.monitor_mode {
-            MonitorMode::PhaseDifference => self
-                .config
-                .dac
-                .quantize_volts(self.last_dt[0] * self.config.monitor_scale),
+            MonitorMode::PhaseDifference => self.monitor_dt_volts,
             MonitorMode::MirrorBeam => beam,
         };
         self.sample += 1;
@@ -348,11 +367,13 @@ impl SimulatorFramework {
             }
             self.executor.warmup(&mut bus, &[], &restore);
             self.warmed_up = true;
+            self.refresh_monitor();
             // Warm-up outputs are not armed.
             return;
         }
 
         self.executor.run_iteration(&mut bus, &[]);
+        self.refresh_monitor();
 
         // Arm the Gauss pulses for the next revolution: bunch b sits b RF
         // periods after the crossing, plus its Δt.
@@ -386,10 +407,9 @@ impl SimulatorFramework {
     }
 
     /// Measured revolution period (seconds), if the detector has locked.
+    #[inline]
     pub fn measured_period(&self) -> Option<f64> {
-        self.period
-            .average_period()
-            .map(|p| p / self.config.sample_rate)
+        self.measured_period
     }
 
     /// Most recent Δt per bunch.
@@ -491,6 +511,11 @@ impl SimulatorFramework {
         self.revolutions = state.revolutions;
         self.adc_rng = StdRng::from_state(state.adc_rng);
         self.adc_fault = state.adc_fault;
+        self.measured_period = self
+            .period
+            .average_period()
+            .map(|p| p / self.config.sample_rate);
+        self.refresh_monitor();
         true
     }
 

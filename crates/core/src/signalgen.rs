@@ -34,16 +34,22 @@ impl PhaseJumpProgram {
 
     /// Phase offset (degrees) in effect at time `t` (seconds).
     pub fn offset_deg_at(&self, t: f64) -> f64 {
-        let t_eff = t - self.path_latency_s;
-        if t_eff < 0.0 {
-            return 0.0;
-        }
-        let phase_idx = (t_eff / self.interval_s) as u64;
-        if phase_idx % 2 == 1 {
+        if self.toggle_index(t) % 2 == 1 {
             self.amplitude_deg
         } else {
             0.0
         }
+    }
+
+    /// Toggles delivered by time `t`; the offset is on while it is odd.
+    /// Non-decreasing in `t` for any program, so the samples at which it
+    /// changes can be found by bisection.
+    fn toggle_index(&self, t: f64) -> u64 {
+        let t_eff = t - self.path_latency_s;
+        if t_eff < 0.0 {
+            return 0;
+        }
+        (t_eff / self.interval_s) as u64
     }
 
     /// Time of the next toggle edge strictly after `t`.
@@ -64,13 +70,18 @@ pub struct SignalBench {
     /// Gap DDS (receives jumps and control action).
     pub gap: Dds,
     /// The AWG jump program.
-    pub jumps: PhaseJumpProgram,
+    jumps: PhaseJumpProgram,
     /// Harmonic number h.
     pub harmonic: u32,
     sample_rate: f64,
     sample: u64,
     /// Currently applied jump offset (deg) so that toggles are edges.
     applied_jump_deg: f64,
+    /// First sample at or after `sample` at which the jump program may
+    /// change the offset; every sample before it keeps `applied_jump_deg`.
+    /// Derived from the program, the sample clock and the applied offset,
+    /// so it is recomputed after each edge and on restore, never serialised.
+    next_edge: u64,
     /// Controller frequency trim currently applied to the gap DDS, Hz.
     ctrl_freq_offset: f64,
     base_gap_freq: f64,
@@ -102,7 +113,7 @@ impl SignalBench {
         // Synchronised reset (the mini control system of Fig. 4).
         reference.sync_reset();
         gap.sync_reset();
-        Self {
+        let mut bench = Self {
             reference,
             gap,
             jumps,
@@ -110,12 +121,15 @@ impl SignalBench {
             sample_rate,
             sample: 0,
             applied_jump_deg: 0.0,
+            next_edge: 0,
             ctrl_freq_offset: 0.0,
             base_gap_freq: f_gap,
             base_gap_amp: amp_gap,
             cavity_scale: 1.0,
             cavity_detune_hz: 0.0,
-        }
+        };
+        bench.next_edge = bench.find_edge(0);
+        bench
     }
 
     /// Apply a controller frequency trim (Hz at the gap/RF frequency).
@@ -155,16 +169,63 @@ impl SignalBench {
     }
 
     /// Produce the next (reference, gap) sample pair.
+    #[inline]
     pub fn tick(&mut self) -> (f64, f64) {
-        let t = self.sample as f64 / self.sample_rate;
+        if self.sample >= self.next_edge {
+            self.apply_jump_edge();
+        }
         self.sample += 1;
-        // Edge-apply jump program changes.
-        let want = self.jumps.offset_deg_at(t);
+        (self.reference.tick(), self.gap.tick())
+    }
+
+    /// Edge-apply the jump program at the current sample, exactly as a
+    /// per-sample test of `offset_deg_at` would, then schedule the next
+    /// sample that needs the test.
+    #[cold]
+    fn apply_jump_edge(&mut self) {
+        let want = self
+            .jumps
+            .offset_deg_at(self.sample as f64 / self.sample_rate);
         if want != self.applied_jump_deg {
             self.gap.jump_phase_deg(want - self.applied_jump_deg);
             self.applied_jump_deg = want;
         }
-        (self.reference.tick(), self.gap.tick())
+        self.next_edge = self.find_edge(self.sample + 1);
+    }
+
+    /// The first sample `n >= from` at which a per-sample test could apply
+    /// a jump: `from` itself when its offset differs from the applied one,
+    /// else the first sample whose toggle index moves past `from`'s (found
+    /// by galloping, then bisecting, the monotone index over the same
+    /// `n / sample_rate` time base `tick` uses). `u64::MAX` when the index
+    /// never moves again.
+    fn find_edge(&self, from: u64) -> u64 {
+        let at = |n: u64| n as f64 / self.sample_rate;
+        if self.jumps.offset_deg_at(at(from)) != self.applied_jump_deg {
+            return from;
+        }
+        let k = self.jumps.toggle_index(at(from));
+        let moved = |n: u64| self.jumps.toggle_index(at(n)) != k;
+        // Gallop to a sample past the move, keeping `lo` before it.
+        let (mut lo, mut step) = (from, 1u64);
+        let mut hi = loop {
+            match from.checked_add(step) {
+                Some(n) if moved(n) => break n,
+                Some(n) => lo = n,
+                None if moved(u64::MAX) => break u64::MAX,
+                None => return u64::MAX,
+            }
+            step = step.saturating_mul(2);
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if moved(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     }
 
     /// Current bench time, seconds.
@@ -204,6 +265,7 @@ impl SignalBench {
         self.ctrl_freq_offset = state.ctrl_freq_offset;
         self.cavity_scale = state.cavity_scale;
         self.cavity_detune_hz = state.cavity_detune_hz;
+        self.next_edge = self.find_edge(self.sample);
     }
 }
 

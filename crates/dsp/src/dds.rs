@@ -12,6 +12,8 @@ use crate::fixed::PhaseAccumulator;
 #[derive(Debug, Clone)]
 pub struct Dds {
     accumulator: PhaseAccumulator,
+    /// `2^lut_bits` sine entries plus a copy of entry 0, so the
+    /// interpolation partner of the last entry needs no wrap.
     lut: Box<[f64]>,
     lut_bits: u32,
     amplitude: f64,
@@ -28,8 +30,8 @@ impl Dds {
     pub fn new(f_clk: f64, lut_bits: u32) -> Self {
         assert!((4..=20).contains(&lut_bits), "LUT size out of range");
         let n = 1usize << lut_bits;
-        let lut: Box<[f64]> = (0..n)
-            .map(|i| (std::f64::consts::TAU * i as f64 / n as f64).sin())
+        let lut: Box<[f64]> = (0..=n)
+            .map(|i| (std::f64::consts::TAU * (i % n) as f64 / n as f64).sin())
             .collect();
         Self {
             accumulator: PhaseAccumulator::new(32),
@@ -95,18 +97,26 @@ impl Dds {
     /// Produce the next sample (volts) and advance one clock.
     #[inline]
     pub fn tick(&mut self) -> f64 {
+        let acc = self.accumulator.tick_raw();
         if self.dropout {
-            self.accumulator.tick();
             return 0.0;
         }
-        let phase = self.accumulator.tick();
-        let idx_f = phase * (1u64 << self.lut_bits) as f64;
-        let idx = idx_f as usize & ((1usize << self.lut_bits) - 1);
         // Linear interpolation between adjacent LUT entries keeps spurs far
         // below the 14-bit ADC floor.
-        let next = (idx + 1) & ((1usize << self.lut_bits) - 1);
-        let frac = idx_f - idx_f.floor();
-        self.amplitude * (self.lut[idx] * (1.0 - frac) + self.lut[next] * frac)
+        let (idx, frac) = self.lut_position(acc);
+        self.amplitude * (self.lut[idx] * (1.0 - frac) + self.lut[idx + 1] * frac)
+    }
+
+    /// LUT index and interpolation fraction of a 32-bit accumulator value:
+    /// its top `lut_bits` bits and the remaining low bits scaled to [0, 1).
+    /// Both are exact, so they equal the float form `idx_f = acc / 2^32 ·
+    /// 2^lut_bits`, `frac = idx_f − ⌊idx_f⌋` bit for bit.
+    #[inline]
+    fn lut_position(&self, acc: u64) -> (usize, f64) {
+        let shift = 32 - self.lut_bits;
+        let idx = (acc >> shift) as usize & ((1usize << self.lut_bits) - 1);
+        let frac = (acc & ((1u64 << shift) - 1)) as f64 * (1.0 / (1u64 << shift) as f64);
+        (idx, frac)
     }
 
     /// Sample clock frequency, Hz.
@@ -151,6 +161,51 @@ pub struct DdsState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The float LUT addressing `tick` used before its integer fast path.
+    fn float_position(acc: u64, lut_bits: u32) -> (usize, f64) {
+        let phase = acc as f64 / 2.0_f64.powi(32);
+        let idx_f = phase * (1u64 << lut_bits) as f64;
+        let idx = idx_f as usize & ((1usize << lut_bits) - 1);
+        (idx, idx_f - idx_f.floor())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Integer index and fraction equal the float formula for every
+        /// table size, on random and on boundary accumulator values.
+        #[test]
+        fn lut_position_matches_the_float_formula(lut_bits in 4u32..21, acc in any::<u32>(), low in 0u64..4) {
+            let dds = Dds::new(250e6, lut_bits);
+            let shift = 32 - lut_bits;
+            let edge = (u64::from(acc) >> shift << shift) + low;
+            for a in [u64::from(acc), edge, edge.wrapping_sub(2 * low) & 0xFFFF_FFFF] {
+                let (idx, frac) = dds.lut_position(a);
+                let (want_idx, want_frac) = float_position(a, lut_bits);
+                prop_assert_eq!(idx, want_idx, "acc {:#x}, lut_bits {}", a, lut_bits);
+                prop_assert_eq!(frac.to_bits(), want_frac.to_bits(), "acc {:#x}, lut_bits {}", a, lut_bits);
+            }
+        }
+
+        /// Whole samples equal the float-addressed interpolation.
+        #[test]
+        fn tick_matches_the_float_formula(lut_bits in 4u32..21, f_mhz in 0.01f64..120.0, amp in 0.0f64..2.0, start in any::<u32>()) {
+            let mut dds = Dds::new(250e6, lut_bits);
+            dds.set_frequency(f_mhz * 1e6);
+            dds.set_amplitude(amp);
+            dds.accumulator.acc = u64::from(start);
+            let n = 1usize << lut_bits;
+            for _ in 0..64 {
+                let acc = dds.accumulator.acc;
+                let (idx, frac) = float_position(acc, lut_bits);
+                let next = (idx + 1) & (n - 1);
+                let want = amp * (dds.lut[idx] * (1.0 - frac) + dds.lut[next] * frac);
+                prop_assert_eq!(dds.tick().to_bits(), want.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn dds_produces_requested_frequency() {
