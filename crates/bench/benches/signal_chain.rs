@@ -1,5 +1,6 @@
 //! Criterion: the signal-level chain, component by component and end to
-//! end (samples/s through the full framework).
+//! end (samples/s through the full framework, per sample and through
+//! `SignalLevelEngine::step`).
 //!
 //! The end-to-end number, divided into 250 MS/s, is the slowdown factor of
 //! our software model vs the real-time hardware — the cost of fidelity
@@ -7,6 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use cil_core::engine::{BeamEngine, SignalLevelEngine};
 use cil_core::framework::SimulatorFramework;
 use cil_core::scenario::MdeScenario;
 use cil_core::signalgen::{PhaseJumpProgram, SignalBench};
@@ -88,6 +90,26 @@ fn bench_framework(c: &mut Criterion) {
         b.iter(|| {
             let (r, gp) = bench.tick();
             black_box(fw.push_sample(r, gp))
+        });
+    });
+
+    // The engine's own loop, which runs the stretches between beam pulses
+    // as blocks: one iteration steps 1 ms of bench time (250k samples at
+    // 250 MS/s), so samples/s = 250e3 / (ns/iter · 1e-9).
+    const SAMPLES_PER_ITER: u64 = 250_000;
+    let mut engine = SignalLevelEngine::from_scenario(&s).unwrap();
+    let mut phase = [0.0];
+    while engine.time() < 0.2e-3 {
+        engine.step(&s.jumps, &mut phase);
+    }
+    g.throughput(Throughput::Elements(SAMPLES_PER_ITER));
+    g.bench_function("engine_step", |b| {
+        b.iter(|| {
+            let until = engine.time() + SAMPLES_PER_ITER as f64 / 250e6;
+            while engine.time() < until {
+                engine.step(&s.jumps, &mut phase);
+            }
+            black_box(phase[0])
         });
     });
     g.finish();

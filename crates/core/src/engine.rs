@@ -24,7 +24,7 @@ use crate::signalgen::{PhaseJumpProgram, SignalBench};
 use cil_cgra::cache::CompiledKernel;
 use cil_cgra::exec::{CgraExecutor, SensorBus};
 use cil_cgra::kernels::{ACT_DT_BASE, PORT_GAP_BUF, PORT_PERIOD, PORT_REF_BUF};
-use cil_dsp::phase_detector::PhaseDetector;
+use cil_dsp::phase_detector::{PhaseDetector, PhaseSample};
 use cil_physics::constants::TWO_PI;
 use cil_physics::machine::MachineParams;
 use cil_physics::ramp::{RampProgram, RampTracker};
@@ -1051,6 +1051,18 @@ impl BeamEngine for RampEngine {
     }
 }
 
+/// Longest run of samples [`SignalLevelEngine::step`] hands to the block
+/// path at once (sizes its scratch).
+const IDLE_BLOCK: usize = 256;
+
+/// Block-path scratch (not state): the peeked DDS outputs and the quantised
+/// reference channel.
+struct IdleScratch {
+    refs: [f64; IDLE_BLOCK],
+    gaps: [f64; IDLE_BLOCK],
+    ref_q: [f64; IDLE_BLOCK],
+}
+
 /// The full signal-level chain as a [`BeamEngine`]: DDS bench → ADC →
 /// framework (ring buffers, detectors, CGRA, Gauss pulses, DAC) → DSP phase
 /// detector. One `step` runs samples until the detector produces a
@@ -1070,12 +1082,16 @@ pub struct SignalLevelEngine {
     /// as transient mis-measurements (exported via `sample_telemetry`).
     period_admitted: u64,
     period_rejected: u64,
+    /// Taken out of the engine while a block runs.
+    scratch: Option<Box<IdleScratch>>,
 }
 
 impl SignalLevelEngine {
     /// The scenario's Fig. 4 bench (jump program included). A jump program
     /// needs a finite, positive toggle interval and a finite, non-negative
-    /// path latency; anything else is [`CilError::InvalidConfig`].
+    /// path latency, and the gap frequency `f_rev · h` must lie below the
+    /// DDS Nyquist limit; anything else (or an invalid operating point, see
+    /// [`MdeScenario::operating_point`]) is [`CilError::InvalidConfig`].
     pub fn from_scenario(s: &MdeScenario) -> Result<Self> {
         let jumps = &s.jumps;
         if !(jumps.interval_s.is_finite() && jumps.interval_s > 0.0) {
@@ -1091,6 +1107,15 @@ impl SignalLevelEngine {
             )));
         }
         let sample_rate = 250e6;
+        // Validates the operating point before the DDS tuning asserts on it.
+        let kernel_params = s.kernel_params()?;
+        let f_gap = s.f_rev * f64::from(s.harmonic());
+        if f_gap >= sample_rate / 2.0 {
+            return Err(CilError::InvalidConfig(format!(
+                "gap frequency f_rev · h = {f_gap} Hz is not below the DDS Nyquist limit {} Hz",
+                sample_rate / 2.0
+            )));
+        }
         let bench = SignalBench::new(
             sample_rate,
             s.f_rev,
@@ -1099,8 +1124,7 @@ impl SignalLevelEngine {
             s.adc_amplitude,
             s.jumps,
         );
-        let fw =
-            crate::framework::SimulatorFramework::new(s.framework_config(), s.kernel_params()?);
+        let fw = crate::framework::SimulatorFramework::new(s.framework_config(), kernel_params);
         let period_samples = sample_rate / s.f_rev;
         let detector = PhaseDetector::with_zc_threshold(
             fw.config.pulse_amplitude * 0.25,
@@ -1119,12 +1143,56 @@ impl SignalLevelEngine {
             plant: CavityPlant::from_program(&s.faults),
             period_admitted: 0,
             period_rejected: 0,
+            scratch: Some(Box::new(IdleScratch {
+                refs: [0.0; IDLE_BLOCK],
+                gaps: [0.0; IDLE_BLOCK],
+                ref_q: [0.0; IDLE_BLOCK],
+            })),
         })
     }
 
     /// The underlying framework (inspection: records, kernel statics, …).
     pub fn framework(&self) -> &crate::framework::SimulatorFramework {
         &self.fw
+    }
+
+    /// How many of the next `left` samples can run as one block: a stretch
+    /// between beam pulses, where no pulse generator plays or fires (the
+    /// beam is exactly 0 V), the detector is not inside a pulse (so no
+    /// measurement completes) and no jump edge falls, on a noise-free ADC.
+    /// 0 sends the next sample down the per-sample path.
+    fn idle_stretch(&self, left: usize) -> usize {
+        if self.detector.in_pulse() || self.fw.config.adc.noise_rms > 0.0 {
+            return 0;
+        }
+        let horizon = self.bench.samples_to_edge().min(self.fw.idle_ticks());
+        horizon.min(left.min(IDLE_BLOCK) as u64) as usize
+    }
+
+    /// Last stage of a sample: the period guard, then the phase detector.
+    #[inline]
+    fn finish_sample(&mut self, v_ref: f64, beam: f64) -> Option<PhaseSample> {
+        self.guard_period(self.fw.measured_period(), 1);
+        self.detector.push(v_ref, beam)
+    }
+
+    /// Apply the period guard to `samples` samples that all read `period`
+    /// (seconds): track it when plausible, else count a rejection each.
+    fn guard_period(&mut self, period: Option<f64>, samples: u64) {
+        let Some(p) = period else {
+            return;
+        };
+        if samples == 0 {
+            return;
+        }
+        let p = p * self.sample_rate;
+        // Guard against transient mis-measurements under heavy noise.
+        if p > self.period_samples * 0.5 && p < self.period_samples * 2.0 {
+            self.period_admitted += samples;
+            self.detector.set_period_samples(p);
+        } else {
+            self.period_rejected += samples;
+        }
     }
 }
 
@@ -1156,22 +1224,34 @@ impl BeamEngine for SignalLevelEngine {
         }
         // At most two revolutions per step: during detector warm-up no
         // measurement fires, and the harness must still observe time moving.
-        let cap = (self.period_samples * 2.0) as usize;
-        for _ in 0..cap {
-            let (v_ref, v_gap) = self.bench.tick();
-            let out = self.fw.push_sample(v_ref, v_gap);
-            self.sample += 1;
-            if let Some(p) = self.fw.measured_period() {
-                let samples = p * self.sample_rate;
-                // Guard against transient mis-measurements under heavy noise.
-                if samples > self.period_samples * 0.5 && samples < self.period_samples * 2.0 {
-                    self.period_admitted += 1;
-                    self.detector.set_period_samples(samples);
-                } else {
-                    self.period_rejected += 1;
-                }
-            }
-            if let Some(m) = self.detector.push(v_ref, out.beam) {
+        let mut left = (self.period_samples * 2.0) as usize;
+        while left > 0 {
+            let n = self.idle_stretch(left);
+            let measured = if n == 0 {
+                left -= 1;
+                let (v_ref, v_gap) = self.bench.tick();
+                let beam = self.fw.push_sample(v_ref, v_gap).beam;
+                self.sample += 1;
+                self.finish_sample(v_ref, beam)
+            } else {
+                let mut scratch = self.scratch.take().expect("block scratch in use");
+                let IdleScratch { refs, gaps, ref_q } = &mut *scratch;
+                let (refs, gaps) = (&mut refs[..n], &mut gaps[..n]);
+                self.bench.peek(refs, gaps);
+                let before = self.fw.measured_period();
+                let (k, beam) = self.fw.push_idle(refs, gaps, &mut ref_q[..n]);
+                self.bench.advance(k as u64);
+                self.sample += k as u64;
+                left -= k;
+                // Every sample before the stop read the period in force
+                // before the block; the stop sample reads the new one.
+                self.guard_period(before, k as u64 - 1);
+                self.detector.push_idle(&refs[..k - 1]);
+                let last_ref = refs[k - 1];
+                self.scratch = Some(scratch);
+                self.finish_sample(last_ref, beam)
+            };
+            if let Some(m) = measured {
                 phase_out[0] = m.phase_deg;
                 return EngineStep::Measured;
             }

@@ -269,34 +269,116 @@ impl SimulatorFramework {
     /// Process one sample of the two analogue inputs (volts at the ADC
     /// pins); returns the DAC output voltages.
     pub fn push_sample(&mut self, v_ref: f64, v_gap: f64) -> FrameworkOutput {
-        // ADC conversion (quantisation + optional input noise), fault
-        // corruption at the code level, and capture.
-        let (mut ref_code, mut gap_code) = if self.config.adc.noise_rms > 0.0 {
+        self.ingest(v_ref, v_gap);
+        self.emit()
+    }
+
+    /// Process a run of input pairs during which every pulse generator is
+    /// idle (at most [`Self::idle_ticks`] pairs) and the ADC adds no noise,
+    /// exactly as [`Self::push_sample`] on each, stopping after the first
+    /// sample that completes a reference period. Returns how many pairs were
+    /// consumed and the beam output of the last one; every earlier one
+    /// output 0 V.
+    ///
+    /// The period detector scans the reference channel as it is quantised
+    /// into `ref_q` (scratch as long as `refs`), up to the stop sample; the
+    /// consumed prefix of `gaps` is quantised in place. Both prefixes are
+    /// captured as slices and the pulse generators skip them at once; the
+    /// stop sample then runs the kernel and the outputs as `push_sample`
+    /// does. A noisy ADC draws its noise interleaved ref/gap per sample, so
+    /// it stays on `push_sample`.
+    pub(crate) fn push_idle(
+        &mut self,
+        refs: &[f64],
+        gaps: &mut [f64],
+        ref_q: &mut [f64],
+    ) -> (usize, f64) {
+        assert!(
+            !refs.is_empty() && refs.len() == gaps.len() && refs.len() == ref_q.len(),
+            "idle block of unequal or empty channels"
+        );
+        assert!(
+            refs.len() as u64 <= self.idle_ticks(),
+            "idle block runs into a pulse"
+        );
+        let (adc, fault) = (&self.config.adc, self.adc_fault);
+        assert!(
+            adc.noise_rms <= 0.0 || adc.noise_rms.is_nan(),
+            "noisy ADC input in an idle block"
+        );
+        let quantised = refs.iter().zip(ref_q.iter_mut()).map(|(&v, q)| {
+            *q = adc_volts(adc, adc.quantize(v), fault);
+            *q
+        });
+        let (k, completed) = self.period.push_until_period(quantised);
+        let gaps = &mut gaps[..k];
+        for v in gaps.iter_mut() {
+            *v = adc_volts(adc, adc.quantize(*v), fault);
+        }
+        self.ref_buffer.push_slice(&ref_q[..k]);
+        self.gap_buffer.push_slice(gaps);
+        // The kernel addresses the buffers from `self.sample`, so the clock
+        // stands on the stop sample before it runs.
+        self.skip_idle(k as u64 - 1);
+        if let Some(avg) = completed {
+            self.period_completed(avg);
+        }
+        (k, self.emit().beam)
+    }
+
+    /// Samples the pulse generators will all output 0 V for without a
+    /// trigger firing (`u64::MAX` when none is armed).
+    pub(crate) fn idle_ticks(&self) -> u64 {
+        self.pulses
+            .iter()
+            .map(GaussPulseGenerator::idle_ticks)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Advance the output side over `k` samples that output 0 V.
+    fn skip_idle(&mut self, k: u64) {
+        for p in &mut self.pulses {
+            p.skip_idle(k);
+        }
+        self.sample += k;
+    }
+
+    /// ADC conversion (quantisation + optional input noise) and fault
+    /// corruption at the code level; returns the captured voltages.
+    #[inline]
+    fn convert(&mut self, v_ref: f64, v_gap: f64) -> (f64, f64) {
+        let adc = &self.config.adc;
+        let (ref_code, gap_code) = if adc.noise_rms > 0.0 {
             (
-                self.config.adc.convert(v_ref, &mut self.adc_rng),
-                self.config.adc.convert(v_gap, &mut self.adc_rng),
+                adc.convert(v_ref, &mut self.adc_rng),
+                adc.convert(v_gap, &mut self.adc_rng),
             )
         } else {
-            (
-                self.config.adc.quantize(v_ref),
-                self.config.adc.quantize(v_gap),
-            )
+            (adc.quantize(v_ref), adc.quantize(v_gap))
         };
-        if let Some(fault) = self.adc_fault {
-            ref_code = self.config.adc.apply_fault(ref_code, fault);
-            gap_code = self.config.adc.apply_fault(gap_code, fault);
-        }
-        let ref_q = self.config.adc.code_to_volts(ref_code);
-        let gap_q = self.config.adc.code_to_volts(gap_code);
+        (
+            adc_volts(adc, ref_code, self.adc_fault),
+            adc_volts(adc, gap_code, self.adc_fault),
+        )
+    }
+
+    /// Input side of one sample: ADC, capture, reference-side detectors and
+    /// the kernel when a period completes.
+    #[inline]
+    fn ingest(&mut self, v_ref: f64, v_gap: f64) {
+        let (ref_q, gap_q) = self.convert(v_ref, v_gap);
         self.ref_buffer.push(ref_q);
         self.gap_buffer.push(gap_q);
-
-        // Reference-side detectors.
-        let completed = self.period.push(ref_q);
-        if let Some(avg) = completed {
-            self.measured_period = Some(avg / self.config.sample_rate);
+        if let Some(avg) = self.period.push(ref_q) {
+            self.period_completed(avg);
         }
-        if completed.is_some() && self.period.warmed_up() {
+    }
+
+    /// The period detector completed a period averaging `avg` samples.
+    fn period_completed(&mut self, avg: f64) {
+        self.measured_period = Some(avg / self.config.sample_rate);
+        if self.period.warmed_up() {
             // Integer sample index of the crossing (hardware addressing).
             // Rounding — not flooring — the refined crossing time keeps the
             // addressing bias zero-mean; a systematic half-sample offset
@@ -312,8 +394,11 @@ impl SimulatorFramework {
                 }
             }
         }
+    }
 
-        // Outputs.
+    /// Output side of one sample: pulses, DAC and monitor; ends the sample.
+    #[inline]
+    fn emit(&mut self) -> FrameworkOutput {
         let mut beam = 0.0;
         for p in &mut self.pulses {
             beam += p.tick();
@@ -345,6 +430,7 @@ impl SimulatorFramework {
             // sizing argument of Section III-B).
             crossing: prev_crossing,
             current_sample: self.sample,
+            corrupted_input: self.config.adc.noise_rms > 0.0 || self.adc_fault.is_some(),
             dt_out: &mut self.last_dt,
             monitor_out: &mut self.monitor_value,
         };
@@ -547,6 +633,16 @@ impl SimulatorFramework {
     }
 }
 
+/// The voltage a converted ADC code is captured as, after the injected
+/// fault (if any) corrupts the code.
+#[inline]
+fn adc_volts(adc: &AdcModel, code: i32, fault: Option<AdcFault>) -> f64 {
+    adc.code_to_volts(match fault {
+        Some(f) => adc.apply_fault(code, f),
+        None => code,
+    })
+}
+
 /// Checkpointable state of a [`SimulatorFramework`].
 ///
 /// Everything dynamic is here; the compiled kernel, pulse tables and
@@ -594,6 +690,8 @@ struct FrameworkBus<'a> {
     period_s: f64,
     crossing: u64,
     current_sample: u64,
+    /// ADC noise or an ADC fault is corrupting the captured samples.
+    corrupted_input: bool,
     dt_out: &'a mut [f64],
     monitor_out: &'a mut f64,
 }
@@ -604,8 +702,11 @@ impl FrameworkBus<'_> {
         // crossing. Translate to a "samples back from now" offset.
         let abs = self.crossing as f64 + addr;
         let back = self.current_sample as f64 - abs;
+        // Corrupted converter input (ADC noise, ADC fault windows) can place
+        // crossings and Δt so that the kernel asks for a sample not captured
+        // yet; it then reads the newest one.
         debug_assert!(
-            back >= 0.0,
+            back >= 0.0 || self.corrupted_input,
             "future read: addressing must use the previous crossing"
         );
         if back < 0.0 {

@@ -7,13 +7,14 @@
 //! multi-particle reference consistently.
 
 use crate::control::ControllerParams;
-use crate::error::Result;
+use crate::error::{CilError, Result};
 use crate::fault::FaultProgram;
 use crate::framework::{FrameworkConfig, MonitorMode};
 use crate::signalgen::PhaseJumpProgram;
 use cil_cgra::grid::GridConfig;
 use cil_cgra::kernels::KernelParams;
 use cil_dsp::converter::{AdcModel, DacModel};
+use cil_physics::constants::C;
 use cil_physics::machine::{MachineParams, OperatingPoint};
 use cil_physics::synchrotron::SynchrotronCalc;
 use cil_physics::IonSpecies;
@@ -99,8 +100,20 @@ impl MdeScenario {
             .voltage_for_fs(self.f_rev, self.fs_target)?)
     }
 
-    /// The derived operating point.
+    /// The derived operating point. The revolution frequency must be finite
+    /// and positive, and slow enough that the beam stays below the speed of
+    /// light on the orbit (`f_rev · orbit_length < c`); anything else is
+    /// [`CilError::InvalidConfig`].
     pub fn operating_point(&self) -> Result<OperatingPoint> {
+        let speed = self.f_rev * self.machine.orbit_length_m;
+        if !(self.f_rev.is_finite() && self.f_rev > 0.0 && speed < C) {
+            return Err(CilError::InvalidConfig(format!(
+                "revolution frequency must be finite, positive and below c / orbit length \
+                 ({:.6e} Hz), got {} Hz",
+                C / self.machine.orbit_length_m,
+                self.f_rev
+            )));
+        }
         Ok(OperatingPoint::from_revolution_frequency(
             self.machine,
             self.ion,

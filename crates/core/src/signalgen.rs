@@ -178,6 +178,34 @@ impl SignalBench {
         (self.reference.tick(), self.gap.tick())
     }
 
+    /// Samples [`Self::tick`] will produce before it next has to test the
+    /// jump program (0 when the very next tick does).
+    pub(crate) fn samples_to_edge(&self) -> u64 {
+        self.next_edge.saturating_sub(self.sample)
+    }
+
+    /// Fill `refs` and `gaps` with the (reference, gap) pairs the next
+    /// ticks would produce, without advancing; [`Self::advance`] commits
+    /// the ones used. The run must end before the next jump edge (at most
+    /// [`Self::samples_to_edge`] pairs); panics otherwise.
+    pub(crate) fn peek(&self, refs: &mut [f64], gaps: &mut [f64]) {
+        assert!(
+            refs.len() == gaps.len() && refs.len() as u64 <= self.samples_to_edge(),
+            "peek must stop before the next jump edge"
+        );
+        self.reference.peek_fill(refs);
+        self.gap.peek_fill(gaps);
+    }
+
+    /// Advance `k` samples at once, exactly as `k` ticks that apply no jump
+    /// edge (`k` ≤ [`Self::samples_to_edge`]; panics otherwise).
+    pub(crate) fn advance(&mut self, k: u64) {
+        assert!(k <= self.samples_to_edge(), "advancing past a jump edge");
+        self.sample += k;
+        self.reference.advance(k);
+        self.gap.advance(k);
+    }
+
     /// Edge-apply the jump program at the current sample, exactly as a
     /// per-sample test of `offset_deg_at` would, then schedule the next
     /// sample that needs the test.

@@ -101,8 +101,32 @@ impl Dds {
         if self.dropout {
             return 0.0;
         }
-        // Linear interpolation between adjacent LUT entries keeps spurs far
-        // below the 14-bit ADC floor.
+        self.sample_at(acc)
+    }
+
+    /// Fill `out` with the samples the next `out.len()` ticks would produce,
+    /// without advancing; [`Self::advance`] then commits the ones used.
+    pub fn peek_fill(&self, out: &mut [f64]) {
+        if self.dropout {
+            out.fill(0.0);
+            return;
+        }
+        let mut acc = self.accumulator;
+        for o in out {
+            *o = self.sample_at(acc.tick_raw());
+        }
+    }
+
+    /// Advance `k` clocks at once, exactly as `k` ticks would.
+    pub fn advance(&mut self, k: u64) {
+        self.accumulator.advance(k);
+    }
+
+    /// Output voltage at accumulator value `acc`. Linear interpolation
+    /// between adjacent LUT entries keeps spurs far below the 14-bit ADC
+    /// floor.
+    #[inline]
+    fn sample_at(&self, acc: u64) -> f64 {
         let (idx, frac) = self.lut_position(acc);
         self.amplitude * (self.lut[idx] * (1.0 - frac) + self.lut[idx + 1] * frac)
     }
@@ -186,6 +210,47 @@ mod tests {
                 let (want_idx, want_frac) = float_position(a, lut_bits);
                 prop_assert_eq!(idx, want_idx, "acc {:#x}, lut_bits {}", a, lut_bits);
                 prop_assert_eq!(frac.to_bits(), want_frac.to_bits(), "acc {:#x}, lut_bits {}", a, lut_bits);
+            }
+        }
+
+        /// `peek_fill` yields exactly the samples the next ticks produce,
+        /// and `advance(k)` leaves exactly the state `k` ticks leave,
+        /// muted or not and across the 2^32 accumulator wrap.
+        #[test]
+        fn peek_and_advance_match_ticks(
+            f_mhz in 0.01f64..124.0,
+            amp in 0.0f64..2.0,
+            start in any::<u32>(),
+            near_wrap in any::<bool>(),
+            dropout in any::<bool>(),
+            lens in prop::collection::vec(0usize..300, 1..6),
+            used_fracs in prop::collection::vec(0.0f64..1.0, 6),
+        ) {
+            let mut block = Dds::standard(250e6);
+            block.set_frequency(f_mhz * 1e6);
+            block.set_amplitude(amp);
+            block.set_dropout(dropout);
+            let inc = block.state().increment;
+            block.accumulator.acc = if near_wrap {
+                // Just below the wrap, so the first run crosses it.
+                (1u64 << 32) - 1 - u64::from(start) % (inc * 64 + 1)
+            } else {
+                u64::from(start)
+            };
+            let mut ticked = block.clone();
+            for (len, used_frac) in lens.into_iter().zip(used_fracs) {
+                let mut peeked = vec![0.0; len];
+                block.peek_fill(&mut peeked);
+                let mut ahead = ticked.clone();
+                for (i, v) in peeked.iter().enumerate() {
+                    prop_assert_eq!(v.to_bits(), ahead.tick().to_bits(), "sample {} of {}", i, len);
+                }
+                let used = (used_frac * len as f64) as u64;
+                block.advance(used);
+                for _ in 0..used {
+                    ticked.tick();
+                }
+                prop_assert_eq!(block.state(), ticked.state());
             }
         }
 

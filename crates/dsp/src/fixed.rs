@@ -22,18 +22,14 @@ pub fn quantize(value: f64, full_scale: f64, bits: u32) -> i32 {
 /// to 0); below 2^63 in magnitude the truncated value is exact, so the
 /// fraction `x - t` is exact and a single ±1 adjust rounds half away from
 /// zero. At and beyond the `i64` range the cast saturates and the adjust
-/// saturates with it, as the rounded cast would.
+/// saturates with it, as the rounded cast would. The adjust is computed
+/// without a branch: on converter samples the fraction is as likely above
+/// as below one half, so a branch mispredicts on a large share of calls.
 #[inline]
 fn round_half_away(x: f64) -> i64 {
     let t = x as i64;
     let frac = x - t as f64;
-    if frac >= 0.5 {
-        t.saturating_add(1)
-    } else if frac <= -0.5 {
-        t.saturating_sub(1)
-    } else {
-        t
-    }
+    t.saturating_add(i64::from(frac >= 0.5) - i64::from(frac <= -0.5))
 }
 
 /// Reconstruct a real value from a signed `bits`-bit code (ideal DAC).
@@ -103,6 +99,13 @@ impl PhaseAccumulator {
         let acc = self.acc;
         self.acc = (acc + self.increment) & self.mask();
         acc
+    }
+
+    /// Advance `k` clocks at once: `acc += k·increment` modulo `2^bits`,
+    /// the same value `k` calls of [`Self::tick_raw`] leave.
+    #[inline]
+    pub(crate) fn advance(&mut self, k: u64) {
+        self.acc = self.acc.wrapping_add(k.wrapping_mul(self.increment)) & self.mask();
     }
 
     /// Add a (possibly negative) phase offset in turns, wrapping.

@@ -85,6 +85,24 @@ impl GaussPulseGenerator {
         }
     }
 
+    /// Ticks that will output 0 V without starting playback: none while a
+    /// pulse plays, else up to the next trigger (`u64::MAX` with none armed).
+    pub fn idle_ticks(&self) -> u64 {
+        match (self.playing, self.armed_at.front()) {
+            (Some(_), _) => 0,
+            (None, Some(&at)) => at.saturating_sub(self.now),
+            (None, None) => u64::MAX,
+        }
+    }
+
+    /// Advance `k` idle ticks at once, exactly as `k` calls of
+    /// [`Self::tick`] that all return 0 V. Panics when `k` exceeds
+    /// [`Self::idle_ticks`].
+    pub fn skip_idle(&mut self, k: u64) {
+        assert!(k <= self.idle_ticks(), "skipping past a pulse trigger");
+        self.now += k;
+    }
+
     /// Swap the pulse table in place, preserving the time base and any
     /// pending triggers — the runtime path for parametric bunch shapes.
     /// An in-flight pulse is restarted on the new table.
@@ -154,6 +172,50 @@ pub struct GaussPulseState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `skip_idle(k)` for any `k` up to `idle_ticks` leaves the state
+        /// `k` silent ticks leave, and a skip that stops exactly at the
+        /// horizon is followed by the tick that starts the pulse.
+        #[test]
+        fn skip_idle_matches_idle_ticks(
+            triggers in prop::collection::vec(0u64..600, 0..4),
+            skips in prop::collection::vec(0.0f64..1.0, 1..12),
+            width in 1.0f64..6.0,
+        ) {
+            let mut skipped = GaussPulseGenerator::gaussian(width, 3.0, 0.8);
+            for &t in &triggers {
+                skipped.arm(t);
+            }
+            let mut ticked = skipped.clone();
+            for frac in skips {
+                let horizon = skipped.idle_ticks();
+                let reach = horizon.min(700);
+                let k = if frac > 0.7 { reach } else { (frac * reach as f64) as u64 };
+                skipped.skip_idle(k);
+                for _ in 0..k {
+                    prop_assert_eq!(ticked.tick().to_bits(), 0.0f64.to_bits());
+                }
+                prop_assert_eq!(skipped.state(), ticked.state());
+                let fires = k == horizon && !skipped.is_playing();
+                prop_assert_eq!(skipped.tick().to_bits(), ticked.tick().to_bits());
+                if fires {
+                    prop_assert!(skipped.is_playing(), "trigger at the horizon did not fire");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "skipping past a pulse trigger")]
+    fn skip_past_a_trigger_panics() {
+        let mut g = GaussPulseGenerator::gaussian(3.0, 3.0, 0.8);
+        g.arm(10);
+        g.skip_idle(11);
+    }
 
     #[test]
     fn idle_output_is_zero() {

@@ -58,6 +58,24 @@ impl PeriodLengthDetector {
         result
     }
 
+    /// Feed samples up to and including the first one that completes a
+    /// period, exactly as [`Self::push`] on each in turn: returns how many
+    /// were consumed and that period's average (`None` when none completes
+    /// and every sample was consumed). Samples after the stop are not drawn.
+    pub fn push_until_period(
+        &mut self,
+        samples: impl IntoIterator<Item = f64>,
+    ) -> (usize, Option<f64>) {
+        let mut used = 0;
+        for s in samples {
+            used += 1;
+            if let Some(avg) = self.push(s) {
+                return (used, Some(avg));
+            }
+        }
+        (used, None)
+    }
+
     /// Average period over the filled window, in samples. `None` until the
     /// first full period has been measured.
     pub fn average_period(&self) -> Option<f64> {
@@ -135,6 +153,50 @@ pub struct PeriodDetectorState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `push_until_period` stops on exactly the sample at which
+        /// per-sample pushes complete a period, returns the same average
+        /// and leaves the same state, on noisy, clipped and flat signals.
+        #[test]
+        fn push_until_period_matches_pushes(
+            period in 3.0f64..400.0,
+            noise in 0.0f64..0.3,
+            clip in 0.01f64..1.5,
+            threshold in 0.0f64..0.2,
+            window in 1usize..6,
+            lens in prop::collection::vec(0usize..300, 1..40),
+            seed in any::<u64>(),
+        ) {
+            let sample = |i: usize| {
+                let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let jitter = (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                ((std::f64::consts::TAU * i as f64 / period).sin() + noise * jitter).clamp(-clip, clip)
+            };
+            let mut block = PeriodLengthDetector::new(window, threshold);
+            let mut single = block.clone();
+            let mut at = 0;
+            for len in lens {
+                let run: Vec<f64> = (at..at + len).map(sample).collect();
+                let mut drawn = 0;
+                let (used, avg) = block.push_until_period(run.iter().inspect(|_| drawn += 1).copied());
+                let mut want = (run.len(), None);
+                for (i, &v) in run.iter().enumerate() {
+                    if let Some(p) = single.push(v) {
+                        want = (i + 1, Some(p.to_bits()));
+                        break;
+                    }
+                }
+                prop_assert_eq!((used, avg.map(f64::to_bits)), want, "run of {} at sample {}", len, at);
+                prop_assert_eq!(drawn, used, "samples drawn past the stop");
+                prop_assert_eq!(block.state(), single.state());
+                at += used;
+            }
+        }
+    }
 
     fn run_sine(det: &mut PeriodLengthDetector, f: f64, fs: f64, n: usize) {
         for i in 0..n {

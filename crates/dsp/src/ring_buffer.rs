@@ -50,6 +50,20 @@ impl CaptureRingBuffer {
         self.written += 1;
     }
 
+    /// Write a run of samples, exactly as [`Self::push`] on each in order.
+    pub fn push_slice(&mut self, samples: &[f64]) {
+        let depth = self.data.len();
+        // Samples older than the last `depth` would be overwritten anyway.
+        let skip = samples.len().saturating_sub(depth);
+        let kept = &samples[skip..];
+        let head = (self.head + skip) & (depth - 1);
+        let (to_end, wrapped) = kept.split_at(kept.len().min(depth - head));
+        self.data[head..head + to_end.len()].copy_from_slice(to_end);
+        self.data[..wrapped.len()].copy_from_slice(wrapped);
+        self.head = (head + kept.len()) & (depth - 1);
+        self.written += samples.len() as u64;
+    }
+
     /// Read the sample written `back` positions ago (port B — the simulator
     /// port). `back = 0` is the latest sample. Returns `None` if that sample
     /// has not been written yet or has been overwritten (out of capacity).
@@ -143,6 +157,39 @@ pub struct RingBufferState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `push_slice` leaves exactly the state per-sample pushes leave,
+        /// for runs that wrap the head, fill the buffer or overrun it.
+        #[test]
+        fn push_slice_matches_pushes(
+            depth_bits in 0u32..6,
+            lead in 0usize..40,
+            runs in prop::collection::vec(0usize..80, 1..6),
+        ) {
+            let depth = 1usize << depth_bits;
+            let (mut sliced, mut pushed) = (CaptureRingBuffer::new(depth), CaptureRingBuffer::new(depth));
+            let mut next = 0.0;
+            let mut take = |n: usize| -> Vec<f64> {
+                (0..n).map(|_| { next += 1.0; next }).collect()
+            };
+            for v in take(lead) {
+                sliced.push(v);
+                pushed.push(v);
+            }
+            for run in runs {
+                let samples = take(run);
+                sliced.push_slice(&samples);
+                for &v in &samples {
+                    pushed.push(v);
+                }
+                prop_assert_eq!(sliced.state(), pushed.state(), "run of {} at depth {}", run, depth);
+            }
+        }
+    }
 
     #[test]
     fn paper_sizing_invariant() {

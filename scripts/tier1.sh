@@ -44,9 +44,10 @@ cargo test --release -q --test telemetry -- --include-ignored
 # and writes results/BENCH_checkpoint.json.
 cargo test -q --test checkpoint_recovery
 cargo test --release -q --test checkpoint_recovery
-# Signal-chain bit-identity: golden digests of six signal-level scenarios,
-# checkpoints around a jump edge resuming bit-identically, and scheduled
-# jump edges against the per-sample predicate.
+# Signal-chain bit-identity: golden digests of seven signal-level
+# scenarios, the block-stepped engine against a per-sample reference
+# chain, checkpoints around a jump edge resuming bit-identically, and
+# scheduled jump edges against the per-sample predicate.
 cargo test -q --test signal_chain_identity
 cargo test --release -q --test signal_chain_identity
 # Event-scheduled core: block-size invariance of traces, telemetry and

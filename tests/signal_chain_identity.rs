@@ -6,21 +6,30 @@
 //! and its converter/DDS arithmetic uses exact integer forms of the float
 //! formulas. None of that may move a single bit of output:
 //!
-//! * six [`SignalLevelLoop`] scenarios are pinned to FNV digests of their
+//! * seven [`SignalLevelLoop`] scenarios are pinned to FNV digests of their
 //!   phase, control and jump-time bits plus their audit-event count;
+//! * the engine, which block-steps the stretches between beam pulses, is
+//!   run against a per-sample reference chain built from the public
+//!   per-sample calls, across faults, noise, jumps and restores;
 //! * a checkpoint taken just before, exactly on and just after a jump edge,
 //!   and in the middle of a beam pulse, restores into a fresh engine and
 //!   continues bit-identically, with identical encoded CILCKPT bytes;
 //! * the scheduled-edge [`SignalBench`] applies every jump on exactly the
 //!   sample the per-sample `offset_deg_at` predicate names, across random
-//!   programs and mid-interval restores.
+//!   programs and mid-interval restores;
+//! * out-of-range jump programs and revolution frequencies are typed
+//!   configuration errors, not panics.
 
 use cil_core::checkpoint::{decode_snapshot, encode_snapshot, Checkpoint};
-use cil_core::engine::{BeamEngine, EngineKind, EngineState, EngineStep, SignalLevelEngine};
-use cil_core::fault::{FaultEvent, FaultInjector, FaultKind, FaultProgram};
+use cil_core::engine::{
+    BeamEngine, EngineKind, EngineState, EngineStep, SignalLevelEngine, SignalLevelEngineState,
+};
+use cil_core::fault::{CavityPlant, FaultEvent, FaultInjector, FaultKind, FaultProgram};
+use cil_core::framework::SimulatorFramework;
 use cil_core::hil::HilResult;
 use cil_core::signalgen::{PhaseJumpProgram, SignalBench};
 use cil_core::{BeamPhaseController, CilError, MdeScenario, SignalLevelLoop};
+use cil_dsp::phase_detector::PhaseDetector;
 use proptest::prelude::*;
 
 const FS: f64 = 250e6;
@@ -94,6 +103,22 @@ fn golden_scenarios() -> Vec<(&'static str, MdeScenario, f64)> {
         bunches: 4,
         ..MdeScenario::nov24_2023()
     };
+    let adc_window = |start_s: f64, end_s: f64, kind| FaultEvent {
+        start_s,
+        end_s,
+        kind,
+    };
+    let adc_faults = MdeScenario {
+        faults: FaultProgram {
+            seed: 0xADC5,
+            events: vec![
+                adc_window(0.8e-3, 1.1e-3, FaultKind::AdcSaturation),
+                adc_window(1.4e-3, 1.7e-3, FaultKind::AdcStuckCode { code: 1234 }),
+                adc_window(2.0e-3, 2.4e-3, FaultKind::AdcBitFlip { bit: 11 }),
+            ],
+        },
+        ..one_bunch()
+    };
     vec![
         ("plain", plain, 3e-3),
         ("adc_noise", noisy, 3e-3),
@@ -101,18 +126,21 @@ fn golden_scenarios() -> Vec<(&'static str, MdeScenario, f64)> {
         ("dds_dropout", dropout, 3e-3),
         ("cavity_trip", trip, 3e-3),
         ("four_bunches", four, 3e-3),
+        ("adc_faults", adc_faults, 3e-3),
     ]
 }
 
 /// Digest and audit-event count of each scenario in [`golden_scenarios`],
-/// recorded from the per-sample chain before its event-driven rewrite.
-const GOLDEN: [(&str, u64, usize); 6] = [
+/// recorded from the per-sample chain (the first six before its
+/// event-driven rewrite, `adc_faults` before block stepping).
+const GOLDEN: [(&str, u64, usize); 7] = [
     ("plain", 0xb64ecb7d3de80832, 0),
     ("adc_noise", 0x9506b76f7eba11aa, 0),
     ("fast_jumps", 0xbef77ab6d51ee370, 0),
     ("dds_dropout", 0xf5d509de6295c542, 0),
     ("cavity_trip", 0x42d8db32d2b5ba0f, 0),
     ("four_bunches", 0x49b1964377087305, 0),
+    ("adc_faults", 0xe38324ba3d2f396d, 0),
 ];
 
 #[test]
@@ -138,11 +166,11 @@ fn golden_scenarios_match_the_per_sample_chain() {
 /// One measured row: time, phase, controller output and jump offset bits.
 type Row = [u64; 4];
 
-/// The engine + controller pair, driven the way `LoopHarness::run` drives
-/// them (no supervisor, no faults).
-struct Chain {
+/// An engine + controller pair, driven the way `LoopHarness::run` drives
+/// them (no supervisor).
+struct Chain<E = SignalLevelEngine> {
     jumps: PhaseJumpProgram,
-    engine: SignalLevelEngine,
+    engine: E,
     controller: BeamPhaseController,
     rows: Vec<Row>,
     jump_edges: u64,
@@ -150,27 +178,43 @@ struct Chain {
 
 impl Chain {
     fn new(s: &MdeScenario) -> Self {
+        Self::with_engine(s, SignalLevelEngine::from_scenario(s).unwrap())
+    }
+
+    fn restore(s: &MdeScenario, bytes: &[u8]) -> Self {
+        let ck = decode_snapshot(bytes).unwrap();
+        let mut chain = Self::new(s);
+        assert!(chain.engine.restore_state(&ck.engine));
+        assert!(chain.controller.restore(&ck.controller));
+        chain.jump_edges = ck.jumps;
+        chain
+    }
+}
+
+impl<E: BeamEngine> Chain<E> {
+    fn with_engine(s: &MdeScenario, engine: E) -> Self {
         Self {
             jumps: s.jumps,
-            engine: SignalLevelEngine::from_scenario(s).unwrap(),
+            engine,
             controller: BeamPhaseController::new(s.controller, s.f_rev * s.bunches as f64),
             rows: Vec::new(),
             jump_edges: 0,
         }
     }
 
-    fn sample(&self) -> u64 {
+    fn state(&self) -> Box<SignalLevelEngineState> {
         match self.engine.save_state() {
-            EngineState::SignalLevel(s) => s.sample,
+            EngineState::SignalLevel(s) => s,
             _ => unreachable!("signal-level engine"),
         }
     }
 
+    fn sample(&self) -> u64 {
+        self.state().sample
+    }
+
     fn pulse_playing(&self) -> bool {
-        match self.engine.save_state() {
-            EngineState::SignalLevel(s) => s.fw.pulses[0].playing.is_some(),
-            _ => unreachable!("signal-level engine"),
-        }
+        self.state().fw.pulses[0].playing.is_some()
     }
 
     fn step(&mut self) {
@@ -213,15 +257,6 @@ impl Chain {
             log_bytes: 0,
             telemetry: None,
         })
-    }
-
-    fn restore(s: &MdeScenario, bytes: &[u8]) -> Self {
-        let ck = decode_snapshot(bytes).unwrap();
-        let mut chain = Self::new(s);
-        assert!(chain.engine.restore_state(&ck.engine));
-        assert!(chain.controller.restore(&ck.controller));
-        chain.jump_edges = ck.jumps;
-        chain
     }
 }
 
@@ -353,6 +388,247 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Block stepping against the per-sample chain.
+// ---------------------------------------------------------------------------
+
+/// `SignalLevelEngine::step` as it ran before stretches between beam
+/// pulses were block-stepped: every sample through the public per-sample
+/// calls, in the same order, with the same per-step fault and cavity
+/// refresh and the same period guard.
+struct PerSampleEngine {
+    bench: SignalBench,
+    fw: SimulatorFramework,
+    detector: PhaseDetector,
+    faults: FaultProgram,
+    plant: CavityPlant,
+    period_samples: f64,
+    sample: u64,
+    period_admitted: u64,
+    period_rejected: u64,
+}
+
+impl PerSampleEngine {
+    fn new(s: &MdeScenario) -> Self {
+        let bench = SignalBench::new(
+            FS,
+            s.f_rev,
+            s.harmonic(),
+            s.adc_amplitude,
+            s.adc_amplitude,
+            s.jumps,
+        );
+        let fw = SimulatorFramework::new(s.framework_config(), s.kernel_params().unwrap());
+        let period_samples = FS / s.f_rev;
+        let detector = PhaseDetector::with_zc_threshold(
+            fw.config.pulse_amplitude * 0.25,
+            f64::from(s.harmonic()),
+            period_samples,
+            fw.config.zc_threshold,
+        );
+        Self {
+            bench,
+            fw,
+            detector,
+            faults: s.faults.clone(),
+            plant: CavityPlant::from_program(&s.faults),
+            period_samples,
+            sample: 0,
+            period_admitted: 0,
+            period_rejected: 0,
+        }
+    }
+}
+
+impl BeamEngine for PerSampleEngine {
+    fn bunches(&self) -> usize {
+        1
+    }
+
+    fn time(&self) -> f64 {
+        self.sample as f64 / FS
+    }
+
+    fn step(&mut self, _jumps: &PhaseJumpProgram, phase_out: &mut [f64]) -> EngineStep {
+        if !self.faults.is_empty() {
+            let sf = self.faults.sample_faults_at(self.time());
+            self.fw.set_adc_fault(sf.adc);
+            self.bench.gap.set_dropout(sf.dds_dropout);
+        }
+        if !self.plant.is_idle() {
+            let t = self.time();
+            self.bench
+                .set_cavity(self.plant.effective_scale_at(t), self.plant.detune_hz_at(t));
+        }
+        for _ in 0..(self.period_samples * 2.0) as usize {
+            let (v_ref, v_gap) = self.bench.tick();
+            let out = self.fw.push_sample(v_ref, v_gap);
+            self.sample += 1;
+            if let Some(p) = self.fw.measured_period() {
+                let samples = p * FS;
+                if samples > self.period_samples * 0.5 && samples < self.period_samples * 2.0 {
+                    self.period_admitted += 1;
+                    self.detector.set_period_samples(samples);
+                } else {
+                    self.period_rejected += 1;
+                }
+            }
+            if let Some(m) = self.detector.push(v_ref, out.beam) {
+                phase_out[0] = m.phase_deg;
+                return EngineStep::Measured;
+            }
+        }
+        EngineStep::Idle
+    }
+
+    fn apply_control(&mut self, u_hz: f64, _decimation: u32) {
+        self.bench.set_control_frequency_offset(u_hz);
+    }
+
+    fn applied_jump_deg(&self) -> f64 {
+        self.bench.applied_jump_deg()
+    }
+
+    fn save_state(&self) -> EngineState {
+        EngineState::SignalLevel(Box::new(SignalLevelEngineState {
+            bench: self.bench.state(),
+            fw: self.fw.state(),
+            detector: self.detector.state(),
+            period_samples: self.period_samples,
+            sample: self.sample,
+            period_admitted: self.period_admitted,
+            period_rejected: self.period_rejected,
+            cavity: self.plant.state(),
+        }))
+    }
+
+    fn restore_state(&mut self, _state: &EngineState) -> bool {
+        false
+    }
+}
+
+/// A fault window of kind `code % 4` (ADC saturation, stuck code, bit
+/// flip, DDS dropout) on `[start_s, start_s + len_s)`.
+fn signal_fault(code: u64, start_s: f64, len_s: f64) -> FaultEvent {
+    let kind = match code % 4 {
+        0 => FaultKind::AdcSaturation,
+        1 => FaultKind::AdcStuckCode {
+            code: (code / 4 % 16384) as i32 - 8192,
+        },
+        2 => FaultKind::AdcBitFlip {
+            bit: (code / 4 % 14) as u32,
+        },
+        _ => FaultKind::DdsDropout,
+    };
+    FaultEvent {
+        start_s,
+        end_s: start_s + len_s,
+        kind,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The block-stepped engine and the per-sample chain produce the same
+    /// rows and jump edges step for step, and end with the same period
+    /// guard and dropped-sample counters and the same CILCKPT bytes —
+    /// across bunch counts, ADC noise, ADC and DDS fault windows, a cavity
+    /// trip, fast jump programs (latency 0, or the first edge placed inside
+    /// a stretch between pulses) and save/restore of the block-stepped
+    /// chain at random step boundaries.
+    #[test]
+    fn block_stepping_matches_the_per_sample_chain(
+        bunches in 1usize..5,
+        noisy in any::<bool>(),
+        fault_codes in prop::collection::vec(any::<u64>(), 0..4),
+        fault_starts in prop::collection::vec(0.05f64..1.0, 4),
+        fault_lens in prop::collection::vec(0.02f64..0.3, 4),
+        trip in any::<bool>(),
+        placed_edge in any::<bool>(),
+        edge_offset in 30u64..200,
+        interval_ms in 0.15f64..0.5,
+        restore_at in prop::collection::vec(0.0f64..1.0, 0..4),
+    ) {
+        let seconds = 1.2e-3;
+        let mut events: Vec<FaultEvent> = fault_codes
+            .iter()
+            .zip(fault_starts.iter().zip(&fault_lens))
+            .map(|(&c, (&t, &len))| signal_fault(c, t * 1e-3, len * 1e-3))
+            .collect();
+        if trip {
+            events.push(FaultEvent {
+                start_s: 0.4e-3,
+                end_s: 0.55e-3,
+                kind: FaultKind::CavityTrip { recover_s: 0.2e-3 },
+            });
+        }
+        let mut s = MdeScenario {
+            bunches,
+            adc_noise_rms: if noisy { 0.004 } else { 0.0 },
+            faults: FaultProgram { seed: 0x5EED, events },
+            jumps: PhaseJumpProgram {
+                amplitude_deg: 8.0,
+                interval_s: 1e9,
+                path_latency_s: 0.0,
+            },
+            ..MdeScenario::nov24_2023()
+        };
+        let interval_s = interval_ms * 1e-3;
+        s.jumps = if placed_edge {
+            // Until the first edge the run does not depend on the program,
+            // so probe it jump-free and put the edge some samples past a
+            // measured step boundary: between two beam pulses.
+            let mut probe = Chain::new(&s);
+            while probe.engine.time() < interval_s {
+                probe.step();
+            }
+            let edge = probe.sample() + edge_offset;
+            let jumps = PhaseJumpProgram {
+                amplitude_deg: 8.0,
+                interval_s,
+                path_latency_s: (edge as f64 - 0.5) / FS - interval_s,
+            };
+            prop_assert_eq!(first_edge_sample(&jumps), edge);
+            jumps
+        } else {
+            PhaseJumpProgram {
+                amplitude_deg: 8.0,
+                interval_s,
+                path_latency_s: 0.0,
+            }
+        };
+
+        let mut reference = Chain::with_engine(&s, PerSampleEngine::new(&s));
+        let mut block = Chain::new(&s);
+        let mut step = 0usize;
+        let mut restores: Vec<usize> = restore_at.iter().map(|f| (f * 900.0) as usize).collect();
+        while reference.engine.time() < seconds {
+            if restores.contains(&step) {
+                restores.retain(|&r| r != step);
+                let bytes = block.snapshot();
+                let mut resumed = Chain::restore(&s, &bytes);
+                resumed.rows = std::mem::take(&mut block.rows);
+                prop_assert_eq!(resumed.snapshot(), bytes, "re-encoded at step {}", step);
+                block = resumed;
+            }
+            reference.step();
+            block.step();
+            step += 1;
+            prop_assert_eq!(reference.rows.last(), block.rows.last(), "row at step {}", step);
+            prop_assert_eq!(reference.rows.len(), block.rows.len(), "rows at step {}", step);
+            prop_assert_eq!(reference.jump_edges, block.jump_edges, "jump edges at step {}", step);
+        }
+        prop_assert!(reference.jump_edges >= 2, "the run crosses jump edges");
+        let (want, got) = (reference.state(), block.state());
+        prop_assert_eq!(
+            (want.period_admitted, want.period_rejected, want.detector.dropped),
+            (got.period_admitted, got.period_rejected, got.detector.dropped)
+        );
+        prop_assert_eq!(reference.snapshot(), block.snapshot(), "final CILCKPT bytes");
+    }
+}
+
 #[test]
 fn degenerate_jump_programs_are_rejected() {
     let bad = [
@@ -381,4 +657,48 @@ fn degenerate_jump_programs_are_rejected() {
             "interval {interval_s}, latency {path_latency_s} accepted"
         );
     }
+}
+
+#[test]
+fn out_of_range_revolution_frequencies_are_rejected() {
+    // 20 and 40 MHz put β above 1 on the 216.72 m orbit; -1 and NaN are
+    // no frequency at all. Every engine builder must refuse them with a
+    // typed error instead of panicking in the kernel builder or the DDS.
+    for f_rev in [20e6, 40e6, -1.0, f64::NAN] {
+        let s = MdeScenario {
+            f_rev,
+            ..one_bunch()
+        };
+        for kind in [
+            EngineKind::Map,
+            EngineKind::Cgra,
+            EngineKind::RefTrack {
+                particles: 8,
+                seed: 1,
+            },
+        ] {
+            assert!(
+                matches!(kind.build(&s), Err(CilError::InvalidConfig(_))),
+                "{kind:?} accepted f_rev {f_rev}"
+            );
+        }
+        assert!(
+            matches!(
+                SignalLevelEngine::from_scenario(&s),
+                Err(CilError::InvalidConfig(_))
+            ),
+            "signal level accepted f_rev {f_rev}"
+        );
+    }
+    // A valid revolution frequency whose gap harmonic the DDS cannot
+    // synthesise at 250 MS/s (1.3 MHz × 100 = 130 MHz > 125 MHz).
+    let s = MdeScenario {
+        f_rev: 1.3e6,
+        machine: cil_physics::machine::MachineParams::sis18_with_harmonic(100),
+        ..one_bunch()
+    };
+    assert!(matches!(
+        SignalLevelEngine::from_scenario(&s),
+        Err(CilError::InvalidConfig(_))
+    ));
 }
